@@ -17,7 +17,7 @@ race:
 	$(GO) test -race -short ./...
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/compute/ ./internal/dnn/ ./internal/serve/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/compute/ ./internal/dnn/ ./internal/eden/ ./internal/serve/
 
 # bench-json runs the end-to-end serving load test (single-request vs
 # continuously-batched QPS over HTTP on every compute backend, the

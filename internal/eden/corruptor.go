@@ -110,8 +110,12 @@ var (
 // SoftwareDRAM is the EDEN-offloading corruptor (§4): it injects errors
 // from a fitted error model instead of a physical device, optionally with
 // per-data BER overrides from fine-grained characterization, and corrects
-// implausible values with the §5 bounding logic.
+// implausible values with the §5 bounding logic. Every tensor it touches —
+// IFMs through either hook, weights through CorruptWeights — goes through
+// one corruption kernel, corruptInto.
 type SoftwareDRAM struct {
+	// Model is fixed at construction: the corruptor and its clones cache
+	// weak-cell lists and scaled copies derived from it.
 	Model  *errormodel.Model
 	Prec   quant.Precision
 	Policy memctrl.Policy
@@ -130,23 +134,63 @@ type SoftwareDRAM struct {
 	Logic memctrl.BoundingLogic
 
 	offsets   map[string]int
-	weakPos   map[string][]int32
-	weakSpan  map[string]int
+	weak      *weakCells // shared with every clone
 	nextBit   int
 	passCount uint64
+
+	// Kernel state owned by this corruptor alone; every clone starts with
+	// its own, empty.
+	img    quant.QTensor                 // code buffer reused across corruptions
+	scaled map[float64]*errormodel.Model // Model.ScaledTo per BER
+	ifmIDs map[string]string             // layer name → IFMID(name)
+}
+
+// weakCells caches weak-cell position lists (errormodel.Injector's
+// WeakPositions) by DRAM bit offset. Weakness depends only on the model's
+// seed, its P parameters and the cell position — not on flip rates, BER or
+// pass — so a corruptor and all its clones share one cache, and the
+// per-cell probe runs once per tensor position for the lifetime of a
+// ClonePool instead of once per clone. A stored list is never mutated, and
+// positions ascend, so a list for a longer span at the same offset serves
+// every shorter span (IFM tensors shrink on partial batches). Safe for
+// concurrent use.
+type weakCells struct {
+	mu    sync.Mutex
+	lists map[int]weakList
+}
+
+type weakList struct {
+	pos  []int32
+	span int // bits enumerated
+}
+
+// positions returns the weak cells among the nbits bits at offset off.
+func (w *weakCells) positions(inj *errormodel.Injector, off, nbits int) []int32 {
+	w.mu.Lock()
+	l := w.lists[off]
+	w.mu.Unlock()
+	if l.span < nbits {
+		l = weakList{inj.WeakPositions(nbits, off), nbits}
+		w.mu.Lock()
+		if w.lists[off].span < nbits {
+			w.lists[off] = l
+		}
+		w.mu.Unlock()
+	}
+	cut := sort.Search(len(l.pos), func(i int) bool { return int(l.pos[i]) >= nbits })
+	return l.pos[:cut]
 }
 
 // NewSoftwareDRAM builds a corruptor around a fitted model at the given
 // precision with the zeroing policy.
 func NewSoftwareDRAM(m *errormodel.Model, prec quant.Precision) *SoftwareDRAM {
 	s := &SoftwareDRAM{
-		Model:    m,
-		Prec:     prec,
-		Policy:   memctrl.Zero,
-		Bounds:   map[string]memctrl.Bounds{},
-		offsets:  map[string]int{},
-		weakPos:  map[string][]int32{},
-		weakSpan: map[string]int{},
+		Model:   m,
+		Prec:    prec,
+		Policy:  memctrl.Zero,
+		Bounds:  map[string]memctrl.Bounds{},
+		offsets: map[string]int{},
+		weak:    &weakCells{lists: map[int]weakList{}},
 	}
 	s.Logic = memctrl.BoundingLogic{Policy: memctrl.Zero}
 	return s
@@ -199,91 +243,135 @@ func (s *SoftwareDRAM) SetLayout(offsets map[string]int, nextBit int) {
 	s.nextBit = nextBit
 }
 
-// corruptTensor pushes one tensor through the modelled approximate DRAM:
-// quantize, inject model errors at the data's BER, correct implausible
-// values, dequantize into a fresh tensor.
+// corruptTensor pushes one tensor through the modelled approximate DRAM
+// and returns the corrupted copy (or t itself when the data ID is
+// error-free and quantization is not forced).
 func (s *SoftwareDRAM) corruptTensor(t *tensor.Tensor, id string) *tensor.Tensor {
-	return s.corruptTensorInto(t, id, false)
+	out, _ := s.corruptInto(t, id, false)
+	return out
 }
 
-// corruptTensorInto is corruptTensor with a destination choice: with
-// inPlace set the corrupted image is dequantized into t's own storage and
-// t itself is returned, saving an output allocation plus (for slab views of
-// a fused batch tensor) the copy back into the batch. The caller must own
-// t outright — in-place corruption of a reused tensor, like a dataset
-// sample, would compound across passes.
-func (s *SoftwareDRAM) corruptTensorInto(t *tensor.Tensor, id string, inPlace bool) *tensor.Tensor {
-	q := s.corruptImage(t, id)
-	if q == nil {
-		return t
-	}
-	if inPlace {
-		q.DequantizeInto(t.Data)
-		return t
-	}
-	return q.Dequantize()
-}
-
-// corruptImage runs the quantize → inject → correct pipeline and returns
-// the corrupted quantized image itself, or nil when the data ID is entirely
-// error-free and quantization is not forced (the tensor passes through
-// untouched). Exposing the image lets CorruptWeights re-derive adopted int8
-// weight codes without a float round-trip.
-func (s *SoftwareDRAM) corruptImage(t *tensor.Tensor, id string) *quant.QTensor {
+// corruptInto runs the corruption kernel on t as data ID id. With inPlace
+// set the corrupted values overwrite t's own storage and t is returned,
+// which saves an output allocation plus (for slab views of a fused batch
+// tensor) the copy back into the batch; the caller must own t outright —
+// in-place corruption of a reused tensor, like a dataset sample, would
+// compound across passes. Otherwise the result is a fresh tensor.
+//
+// The kernel is the one pipeline behind every SoftwareDRAM path (both IFM
+// hooks and CorruptWeights):
+//
+//  1. quantize t into the corruptor's own code buffer (quant.QuantizeInto),
+//     reused across calls;
+//  2. inject the error model's flips at the data's BER with the
+//     errormodel.Injector, using the corruptor's cached per-BER scaled
+//     model and the weak-cell lists it shares with its clones;
+//  3. one fused pass bound-checks every code, re-encodes corrected ones and
+//     writes the dequantized values to the destination (boundDequantize).
+//
+// It also returns the corrupted code image, which CorruptWeights reads to
+// refresh adopted int8 weight images; the image is nil when t passed
+// through untouched and is only valid until the next corruption. A warmed
+// corruptor runs the in-place kernel without allocating.
+func (s *SoftwareDRAM) corruptInto(t *tensor.Tensor, id string, inPlace bool) (*tensor.Tensor, *quant.QTensor) {
 	ber := s.berFor(id)
 	if ber <= 0 && !s.ForceQuant {
-		return nil
+		return t, nil
 	}
-	q := quant.Quantize(t, s.Prec)
+	dst := t
+	if !inPlace {
+		dst = tensor.New(t.Shape()...)
+	}
+	q := &s.img
+	quant.QuantizeInto(q, t, s.Prec)
 	if ber <= 0 {
-		return q
+		// Forced quantization at zero BER: the plain round trip, with no
+		// errors for the bounding logic to correct.
+		q.DequantizeInto(dst.Data)
+		return dst, q
 	}
-	scaled := s.Model.ScaledTo(ber)
+	s.inject(q, id, ber)
+	boundDequantize(&s.Logic, s.Policy, s.Bounds, q, t, id, dst.Data)
+	return dst, q
+}
+
+// inject flips bits of q, stored as data ID id, at the given BER.
+func (s *SoftwareDRAM) inject(q *quant.QTensor, id string, ber float64) {
+	scaled := s.scaledTo(ber)
 	inj := errormodel.Injector{Model: scaled}
 	// Keep transient draws aligned with the corruptor's pass counter.
 	inj.SetPass(s.passCount)
-	off := s.offsetFor(id, q.NumBits())
+	nbits := q.NumBits()
+	off := s.offsetFor(id, nbits)
 	if scaled.Kind == errormodel.Model0 && scaled.P >= 1 {
 		// All-weak uniform model (every Uniform(ber) corruptor): the weak
 		// list would enumerate every bit of the tensor, so skip both the
 		// list and the per-cell scan — the injector samples flip positions
 		// directly, at cost proportional to the flips, not the bits.
 		inj.InjectUniform(q, off)
-	} else {
-		// Weak-cell locations depend only on the model's seed and P, not on
-		// the scaled flip rates, so they are computed once per data ID. IFM
-		// tensors shrink on partial batches: the cached (ascending) list is
-		// cut to the current span, and recomputed if the span grew.
-		nbits := q.NumBits()
-		weak, ok := s.weakPos[id]
-		if !ok || s.weakSpan[id] < nbits {
-			weak = inj.WeakPositions(nbits, off)
-			s.weakPos[id] = weak
-			s.weakSpan[id] = nbits
+		return
+	}
+	inj.InjectWeak(q, off, s.weak.positions(&inj, off, nbits))
+}
+
+// scaledTo returns Model.ScaledTo(ber), cached per BER: the scaled copy is
+// a pure function of the model and the BER, and building it clones the
+// model.
+func (s *SoftwareDRAM) scaledTo(ber float64) *errormodel.Model {
+	m, ok := s.scaled[ber]
+	if !ok {
+		if s.scaled == nil {
+			s.scaled = map[float64]*errormodel.Model{}
 		}
-		cut := sort.Search(len(weak), func(i int) bool { return int(weak[i]) >= nbits })
-		inj.InjectWeak(q, off, weak[:cut])
+		m = s.Model.ScaledTo(ber)
+		s.scaled[ber] = m
 	}
-	if b, ok := s.Bounds[id]; ok {
-		s.Logic.CorrectQTensor(q, b)
-	} else if s.Policy != memctrl.Off {
-		// Fall back to bounds derived from the clean tensor, matching how
-		// weight thresholds are computed at training time (§3.2).
-		s.Logic.CorrectQTensor(q, memctrl.FromTensor(t, 1.5))
+	return m
+}
+
+// ifmID returns IFMID(layer), cached so the hooks do not build the string
+// on every call.
+func (s *SoftwareDRAM) ifmID(layer string) string {
+	id, ok := s.ifmIDs[layer]
+	if !ok {
+		if s.ifmIDs == nil {
+			s.ifmIDs = map[string]string{}
+		}
+		id = IFMID(layer)
+		s.ifmIDs[layer] = id
 	}
-	return q
+	return id
+}
+
+// boundDequantize is the last pass of both corruptors' kernels: the §5
+// bounding logic fused with dequantization of q into dst. Bounds are the
+// data ID's calibrated ones or, uncalibrated, derived from the clean tensor
+// t — matching how weight thresholds are computed at training time (§3.2)
+// — unless the policy is Off. t is read before dst is written, so dst may
+// alias t.Data.
+func boundDequantize(logic *memctrl.BoundingLogic, policy memctrl.Policy, bounds map[string]memctrl.Bounds, q *quant.QTensor, t *tensor.Tensor, id string, dst []float32) {
+	b, ok := bounds[id]
+	if !ok && policy != memctrl.Off {
+		b, ok = memctrl.FromTensor(t, 1.5), true
+	}
+	if !ok {
+		q.DequantizeInto(dst)
+		return
+	}
+	logic.CorrectDequantize(q, b, dst)
 }
 
 // NextPass advances the transient error draw.
 func (s *SoftwareDRAM) NextPass() { s.passCount++ }
 
-// Clone returns an independent corruptor sharing the fitted model and
-// configuration but owning its own layout caches, pass counter and bounding
-// logic. A SoftwareDRAM is single-goroutine state (corruptTensor mutates the
-// weak-cell caches and correction counters), so parallel evaluation gives
-// each goroutine a clone. The clone starts its transient error draws at
-// pass; distinct pass values yield deterministically different draws, which
-// is how per-sample error streams are seeded.
+// Clone returns an independent corruptor sharing the fitted model, its
+// configuration and its weak-cell cache, but owning its own layout, code
+// buffer, pass counter and bounding logic. A SoftwareDRAM is
+// single-goroutine state (a corruption mutates the code buffer, layout and
+// correction counters), so parallel evaluation gives each goroutine a
+// clone. The clone starts its transient error draws at pass; distinct pass
+// values yield deterministically different draws, which is how per-sample
+// error streams are seeded.
 func (s *SoftwareDRAM) Clone(pass uint64) *SoftwareDRAM {
 	c := &SoftwareDRAM{
 		Model:      s.Model,
@@ -295,8 +383,7 @@ func (s *SoftwareDRAM) Clone(pass uint64) *SoftwareDRAM {
 		Bounds:     make(map[string]memctrl.Bounds, len(s.Bounds)),
 		Logic:      memctrl.BoundingLogic{Policy: s.Policy},
 		offsets:    make(map[string]int, len(s.offsets)),
-		weakPos:    make(map[string][]int32, len(s.weakPos)),
-		weakSpan:   make(map[string]int, len(s.weakSpan)),
+		weak:       s.weak,
 		nextBit:    s.nextBit,
 		passCount:  pass,
 	}
@@ -306,16 +393,6 @@ func (s *SoftwareDRAM) Clone(pass uint64) *SoftwareDRAM {
 	for k, v := range s.offsets {
 		c.offsets[k] = v
 	}
-	// Weak-cell position lists are append-only results keyed by data ID;
-	// the clone may replace its own map entries but never mutates the
-	// shared backing arrays, so sharing them is safe and avoids recomputing
-	// the per-data weak populations.
-	for k, v := range s.weakPos {
-		c.weakPos[k] = v
-	}
-	for k, v := range s.weakSpan {
-		c.weakSpan[k] = v
-	}
 	return c
 }
 
@@ -324,22 +401,21 @@ func (s *SoftwareDRAM) CloneCorruptor(pass uint64) Cloner { return s.Clone(pass)
 
 // Reset rewinds a corruptor to the start of a new evaluation pass: the
 // transient error draw restarts at pass and the correction counters clear.
-// Layout state (offsets, weak-cell caches, bounds) survives — it depends
-// only on the model seed and the data IDs, not on the pass — which is what
-// makes a reset clone byte-identical to a freshly built Clone(pass).
+// Layout state (offsets, bounds) and the caches survive — they depend only
+// on the model and the data IDs, not on the pass — which is what makes a
+// reset clone byte-identical to a freshly built Clone(pass).
 func (s *SoftwareDRAM) Reset(pass uint64) {
 	s.passCount = pass
 	s.Logic.Corrections = 0
 }
 
 // ClonePool recycles Cloner corruptors across evaluation passes. Cloning
-// per sample (SampleHooks) re-copies the bounds/offset maps and, worse,
-// rebuilds nothing the next pass can reuse; under a serving workload that
+// per sample (SampleHooks) re-copies the bounds/offset maps and starts
+// every clone with empty per-clone caches; under a serving workload that
 // clones once per request, the allocation churn dominates low-latency
 // dispatches. A pool keeps retired clones and hands them back after a
-// Reset, so the weak-cell position caches — the expensive part, one probe
-// per potential weak cell — are computed once per data ID for the lifetime
-// of the pool instead of once per request.
+// Reset, so each clone's code buffer and caches are built once for the
+// lifetime of the pool instead of once per request.
 //
 // Get and Put are safe for concurrent use; the clones themselves remain
 // single-goroutine state between Get and Put.
@@ -412,29 +488,24 @@ func (s *SoftwareDRAM) SampleHooks(base uint64) func(int) dnn.IFMHook {
 // image re-derived from the corrupted codes, so QuantBackend inference reads
 // the same corrupted values the float path does.
 func (s *SoftwareDRAM) CorruptWeights(net *dnn.Network) (restore func()) {
-	return corruptParams(net, s.corruptImage)
+	return corruptParams(net, s.corruptInto)
 }
 
-// corruptParams implements CorruptWeights for any corruptor that can expose
-// its corrupted quantized image: every parameter is overwritten with the
-// dequantized image, and parameters that carry an adopted int8 code image
-// get it refreshed from the corrupted codes directly — no float round-trip,
-// so the QuantBackend fast path and the float path serve bit-consistent
-// corrupted weights. The returned restore puts back both the clean floats
-// and the clean adopted images.
-func corruptParams(net *dnn.Network, image func(t *tensor.Tensor, id string) *quant.QTensor) (restore func()) {
+// corruptParams implements CorruptWeights for both corruptors: every
+// parameter is corrupted in place by the corruptor's kernel, and parameters
+// that carry an adopted int8 code image get it refreshed from the kernel's
+// corrected codes directly — no float round-trip, so the QuantBackend fast
+// path and the float path serve bit-consistent corrupted weights. The
+// returned restore puts back both the clean floats and the clean adopted
+// images.
+func corruptParams(net *dnn.Network, corrupt func(t *tensor.Tensor, id string, inPlace bool) (*tensor.Tensor, *quant.QTensor)) (restore func()) {
 	params := net.Params()
 	saved := make([][]float32, len(params))
 	savedQ := make([]*compute.Int8Weights, len(params))
 	for i, p := range params {
 		saved[i] = append([]float32(nil), p.W.Data...)
 		savedQ[i] = p.Quantized()
-		q := image(p.W, WeightID(p.Name))
-		if q == nil {
-			continue
-		}
-		q.DequantizeInto(p.W.Data)
-		if savedQ[i] != nil {
+		if _, q := corrupt(p.W, WeightID(p.Name), true); q != nil && savedQ[i] != nil {
 			// Wider-than-int8 precisions yield a nil image here, which
 			// correctly disables the fast path while the corrupted floats
 			// stand in.
@@ -454,13 +525,14 @@ func corruptParams(net *dnn.Network, image func(t *tensor.Tensor, id string) *qu
 // IFMHook returns a hook that corrupts each layer's input feature map.
 func (s *SoftwareDRAM) IFMHook() dnn.IFMHook {
 	return func(i int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
-		return s.corruptTensor(x, IFMID(l.Name()))
+		return s.corruptTensor(x, s.ifmID(l.Name()))
 	}
 }
 
 // IFMHookInPlace is IFMHook with the corrupted image written back into the
 // hook's input tensor, which is also returned. Byte-identical to IFMHook —
-// only the destination storage differs — but safe only when the caller
+// the same kernel runs, only the destination storage differs, and a warmed
+// corruptor allocates nothing per call — but safe only when the caller
 // owns every tensor fed to the hook: the fused batch scheduler does (the
 // hook sees slab views of its private batch tensor, and returning the view
 // unchanged is what lets dnn.ForwardBatchFused skip the slab copy-back),
@@ -468,7 +540,8 @@ func (s *SoftwareDRAM) IFMHook() dnn.IFMHook {
 // samples are never mutated.
 func (s *SoftwareDRAM) IFMHookInPlace() dnn.IFMHook {
 	return func(i int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
-		return s.corruptTensorInto(x, IFMID(l.Name()), true)
+		out, _ := s.corruptInto(x, s.ifmID(l.Name()), true)
+		return out
 	}
 }
 
@@ -630,15 +703,12 @@ func (c *DeviceDRAM) PlaceInPartition(id string, bytes, partition int, partition
 	return nil
 }
 
-// corruptTensor stores t in the device and reads it back at the device's
-// current operating point.
-func (c *DeviceDRAM) corruptTensor(t *tensor.Tensor, id string) *tensor.Tensor {
-	return c.corruptImage(t, id).Dequantize()
-}
-
-// corruptImage is the device round-trip up to (and including) error
-// correction, returning the corrupted quantized image.
-func (c *DeviceDRAM) corruptImage(t *tensor.Tensor, id string) *quant.QTensor {
+// corruptInto stores t in the device, reads it back at the device's
+// current operating point, and bounds and dequantizes the read-back codes
+// in the same fused pass SoftwareDRAM uses. Destinations are as for
+// SoftwareDRAM.corruptInto; the returned image holds the corrected
+// read-back codes.
+func (c *DeviceDRAM) corruptInto(t *tensor.Tensor, id string, inPlace bool) (*tensor.Tensor, *quant.QTensor) {
 	q := quant.Quantize(t, c.Prec)
 	img := q.Pack()
 	addr, err := c.place(id, len(img))
@@ -652,12 +722,12 @@ func (c *DeviceDRAM) corruptImage(t *tensor.Tensor, id string) *quant.QTensor {
 	got := c.Device.Read(addr, n)
 	copy(img[:n], got)
 	q.Unpack(img)
-	if b, ok := c.Bounds[id]; ok {
-		c.Logic.CorrectQTensor(q, b)
-	} else if c.Policy != memctrl.Off {
-		c.Logic.CorrectQTensor(q, memctrl.FromTensor(t, 1.5))
+	dst := t
+	if !inPlace {
+		dst = tensor.New(t.Shape()...)
 	}
-	return q
+	boundDequantize(&c.Logic, c.Policy, c.Bounds, q, t, id, dst.Data)
+	return dst, q
 }
 
 // NextPass is a no-op: the device's read counter already advances per
@@ -667,13 +737,14 @@ func (c *DeviceDRAM) NextPass() {}
 // CorruptWeights stores every parameter in the module and reads it back,
 // refreshing any adopted int8 weight images from the read-back codes.
 func (c *DeviceDRAM) CorruptWeights(net *dnn.Network) (restore func()) {
-	return corruptParams(net, c.corruptImage)
+	return corruptParams(net, c.corruptInto)
 }
 
 // IFMHook returns a hook that round-trips each IFM through the module.
 func (c *DeviceDRAM) IFMHook() dnn.IFMHook {
 	return func(i int, l dnn.Layer, x *tensor.Tensor) *tensor.Tensor {
-		return c.corruptTensor(x, IFMID(l.Name()))
+		out, _ := c.corruptInto(x, IFMID(l.Name()), false)
+		return out
 	}
 }
 

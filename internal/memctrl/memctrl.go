@@ -5,6 +5,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/quant"
@@ -110,22 +111,98 @@ func (b *BoundingLogic) CorrectTensor(t *tensor.Tensor, bounds Bounds) int {
 	return n
 }
 
-// CorrectQTensor applies the policy to a quantized tensor in place,
-// decoding each value, bounding it, and re-encoding corrections.
-func (b *BoundingLogic) CorrectQTensor(q *quant.QTensor, bounds Bounds) int {
+// CorrectDequantize is the bounding logic on the load path, fused with
+// dequantization: one pass decodes every value of q, checks it against
+// bounds, re-encodes a corrected value into q's code (with q.SetValue, so a
+// consumer of the code image sees the correction too), and writes the
+// value as stored to dst. dst must hold exactly q.NumValues() values; it
+// may alias the tensor q was quantized from. It returns the number of
+// re-encoded values; with the Off policy it only dequantizes.
+func (b *BoundingLogic) CorrectDequantize(q *quant.QTensor, bounds Bounds, dst []float32) int {
 	if b.Policy == Off {
+		q.DequantizeInto(dst)
+		return 0
+	}
+	if len(dst) != len(q.Codes) {
+		panic(fmt.Sprintf("memctrl: CorrectDequantize dst holds %d values, want %d", len(dst), len(q.Codes)))
+	}
+	n := 0
+	lo, hi := bounds.Lo, bounds.Hi
+	if q.Prec == quant.FP32 {
+		for i, c := range q.Codes {
+			v := math.Float32frombits(c)
+			if v < lo || v > hi || isNaN32(v) {
+				v = b.correctCode(q, i, v, bounds, &n)
+			}
+			dst[i] = v
+		}
+		return n
+	}
+	bits := q.Prec.Bits()
+	if bits <= 8 {
+		return b.correctDequantizeTable(q, bounds, dst, bits)
+	}
+	// Decode exactly as q.Value does: sign-extend the low bits, then scale.
+	shift := uint(32 - bits)
+	for i, c := range q.Codes {
+		v := float32(int32(c<<shift)>>shift) * q.Scale
+		if v < lo || v > hi || isNaN32(v) {
+			v = b.correctCode(q, i, v, bounds, &n)
+		}
+		dst[i] = v
+	}
+	return n
+}
+
+// correctDequantizeTable is CorrectDequantize for codes of at most 8 bits:
+// every possible code is decoded and bound-checked once, into a table, and
+// the pass over the tensor becomes a lookup per value. When no code at all
+// is out of bounds the pass skips the check.
+func (b *BoundingLogic) correctDequantizeTable(q *quant.QTensor, bounds Bounds, dst []float32, bits int) int {
+	var vals [256]float32
+	var bad [256]bool
+	anyBad := false
+	shift := uint(32 - bits)
+	last := 1<<bits - 1
+	for c := 0; c <= last; c++ {
+		v := float32(int32(uint32(c)<<shift)>>shift) * q.Scale
+		vals[c] = v
+		if v < bounds.Lo || v > bounds.Hi || isNaN32(v) {
+			bad[c], anyBad = true, true
+		}
+	}
+	mask := uint8(last)
+	codes := q.Codes
+	dst = dst[:len(codes)]
+	if !anyBad {
+		for i, c := range codes {
+			dst[i] = vals[uint8(c)&mask]
+		}
 		return 0
 	}
 	n := 0
-	for i := 0; i < q.NumValues(); i++ {
-		v := q.Value(i)
-		c := b.CorrectValue(v, bounds)
-		if c != v || isNaN32(v) {
-			q.SetValue(i, c)
-			n++
+	for i, c := range codes {
+		k := uint8(c) & mask
+		if bad[k] {
+			dst[i] = b.correctCode(q, i, vals[k], bounds, &n)
+			continue
 		}
+		dst[i] = vals[k]
 	}
 	return n
+}
+
+// correctCode applies the policy to the out-of-bounds value v stored at
+// index i of q. A value the policy changes (or a NaN) is re-encoded into
+// q's code and counted in *n; the function returns the value q now holds.
+func (b *BoundingLogic) correctCode(q *quant.QTensor, i int, v float32, bounds Bounds, n *int) float32 {
+	c := b.CorrectValue(v, bounds)
+	if c == v && !isNaN32(v) {
+		return v
+	}
+	q.SetValue(i, c)
+	*n++
+	return q.Value(i)
 }
 
 // PartitionTable is the controller-side metadata that records which memory

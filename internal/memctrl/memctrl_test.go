@@ -80,9 +80,10 @@ func TestCorrectTensor(t *testing.T) {
 	}
 }
 
-func TestCorrectQTensorFP32ExponentFlip(t *testing.T) {
+func TestCorrectDequantizeFP32ExponentFlip(t *testing.T) {
 	// The §3.2 scenario: an exponent-bit flip creates an enormous value
-	// that the bounding logic must zero.
+	// that the bounding logic must zero, both in the loaded value and in
+	// the stored code.
 	x := tensor.FromSlice([]float32{1.5, 2.0}, 2)
 	q := quant.Quantize(x, quant.FP32)
 	q.FlipBit(0, 30)
@@ -90,12 +91,16 @@ func TestCorrectQTensorFP32ExponentFlip(t *testing.T) {
 		t.Fatal("test setup: exponent flip did not blow up")
 	}
 	b := &BoundingLogic{Policy: Zero}
-	n := b.CorrectQTensor(q, Bounds{Lo: -10, Hi: 10})
-	if n != 1 {
-		t.Fatalf("corrected %d values", n)
+	dst := make([]float32, 2)
+	n := b.CorrectDequantize(q, Bounds{Lo: -10, Hi: 10}, dst)
+	if n != 1 || b.Corrections != 1 {
+		t.Fatalf("corrected %d values, counted %d", n, b.Corrections)
+	}
+	if dst[0] != 0 || dst[1] != 2.0 {
+		t.Fatalf("loaded values after correction: %v", dst)
 	}
 	if q.Value(0) != 0 || q.Value(1) != 2.0 {
-		t.Fatalf("values after correction: %v %v", q.Value(0), q.Value(1))
+		t.Fatalf("stored values after correction: %v %v", q.Value(0), q.Value(1))
 	}
 }
 

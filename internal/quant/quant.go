@@ -79,33 +79,53 @@ func maxCode(b int) int32 {
 // scaling: values are mapped into [-2^(b-1), 2^(b-1)-1] by scale = max|x| /
 // (2^(b-1)-1). FP32 is a bit-exact passthrough.
 func Quantize(t *tensor.Tensor, p Precision) *QTensor {
-	q := &QTensor{Prec: p, Shape: t.Shape().Clone(), Codes: make([]uint32, t.Size()), Scale: 1}
+	q := &QTensor{}
+	QuantizeInto(q, t, p)
+	return q
+}
+
+// QuantizeInto is Quantize into q's existing storage: q's code and shape
+// buffers are reused whenever their capacity allows, so a caller that
+// quantizes tensor after tensor through one QTensor allocates only when a
+// tensor outgrows every earlier one. Every live code is rewritten, so
+// nothing from an earlier, larger tensor survives in q.Codes.
+//
+// Rounding is half away from zero, as math.Round, but computed as
+// trunc(x ± 0.5) in float64: x is a float32 quotient, so adding 0.5 is
+// exact wherever the result fits an int32 code, and the truncating
+// conversion inlines to a few branch-free instructions instead of a
+// math.Round call per value.
+func QuantizeInto(q *QTensor, t *tensor.Tensor, p Precision) {
+	n := t.Size()
+	if cap(q.Codes) < n {
+		q.Codes = make([]uint32, n)
+	}
+	q.Prec, q.Shape, q.Scale, q.Codes = p, append(q.Shape[:0], t.Shape()...), 1, q.Codes[:n]
+	codes := q.Codes
 	if p == FP32 {
-		for i, v := range t.Data {
-			q.Codes[i] = math.Float32bits(v)
+		for i, v := range t.Data[:n] {
+			codes[i] = math.Float32bits(v)
 		}
-		return q
+		return
 	}
 	b := p.Bits()
 	mc := maxCode(b)
-	ma := t.MaxAbs()
-	if ma == 0 {
-		q.Scale = 1
-	} else {
+	if ma := t.MaxAbs(); ma != 0 {
 		q.Scale = ma / float32(mc)
 	}
+	scale := q.Scale
 	mask := uint32(1)<<b - 1
-	for i, v := range t.Data {
-		c := int32(math.Round(float64(v / q.Scale)))
+	for i, v := range t.Data[:n] {
+		x := float64(v / scale)
+		c := int32(x + math.Copysign(0.5, x))
 		if c > mc {
 			c = mc
 		}
 		if c < -mc-1 {
 			c = -mc - 1
 		}
-		q.Codes[i] = uint32(c) & mask
+		codes[i] = uint32(c) & mask
 	}
-	return q
 }
 
 // Dequantize reconstructs a float32 tensor from the stored codes.

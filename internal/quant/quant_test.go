@@ -267,3 +267,106 @@ func TestSetValue(t *testing.T) {
 		t.Fatalf("FP32 SetValue stored %v", qf.Value(1))
 	}
 }
+
+// refQuantize is the reference quantizer: math.Round on the float64
+// quotient, then the clamp. Quantize must match it code for code.
+func refQuantize(t *tensor.Tensor, p Precision) *QTensor {
+	q := &QTensor{Prec: p, Shape: t.Shape().Clone(), Codes: make([]uint32, t.Size()), Scale: 1}
+	if p == FP32 {
+		for i, v := range t.Data {
+			q.Codes[i] = math.Float32bits(v)
+		}
+		return q
+	}
+	b := p.Bits()
+	mc := maxCode(b)
+	if ma := t.MaxAbs(); ma != 0 {
+		q.Scale = ma / float32(mc)
+	}
+	for i, v := range t.Data {
+		c := int32(math.Round(float64(v / q.Scale)))
+		if c > mc {
+			c = mc
+		}
+		if c < -mc-1 {
+			c = -mc - 1
+		}
+		q.Codes[i] = uint32(c) & (uint32(1)<<b - 1)
+	}
+	return q
+}
+
+// TestQuantizeMatchesMathRound pins the truncating rounding of
+// QuantizeInto to math.Round on rounding ties, signed zeros, subnormals,
+// non-finite values, scale underflow and random bit patterns.
+func TestQuantizeMatchesMathRound(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	sub := math.Float32frombits(1) // smallest subnormal
+	var cases [][]float32
+	for _, p := range []Precision{Int16, Int8, Int4} {
+		// max|x| = maxCode gives scale 1, so the halves below are exact ties.
+		mc := float32(maxCode(p.Bits()))
+		cases = append(cases, []float32{mc, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, mc - 0.5, -mc - 0.5, float32(math.Copysign(0, -1))})
+	}
+	cases = append(cases,
+		[]float32{0, 0, 0},
+		[]float32{sub, -sub, 3 * sub},
+		[]float32{1, sub, -1e-40, float32(math.Copysign(0, -1))},
+		[]float32{1, nan, -2},
+		[]float32{1, inf, -inf, 0},
+		[]float32{-inf, 5},
+		[]float32{math.MaxFloat32, -math.MaxFloat32, 1},
+	)
+	r := tensor.NewRNG(0x51)
+	bitsRand := make([]float32, 4096)
+	for i := range bitsRand {
+		bitsRand[i] = math.Float32frombits(uint32(r.Uint64()))
+	}
+	cases = append(cases, bitsRand)
+	uniform := tensor.New(4096)
+	uniform.FillUniform(r, -3, 3)
+	cases = append(cases, uniform.Data)
+
+	for ci, data := range cases {
+		x := tensor.FromSlice(append([]float32(nil), data...), len(data))
+		for _, p := range Precisions {
+			want, got := refQuantize(x, p), Quantize(x, p)
+			if math.Float32bits(got.Scale) != math.Float32bits(want.Scale) {
+				t.Fatalf("case %d %v: scale %v, want %v", ci, p, got.Scale, want.Scale)
+			}
+			for i := range want.Codes {
+				if got.Codes[i] != want.Codes[i] {
+					t.Fatalf("case %d %v value %v: code %#x, want %#x", ci, p, data[i], got.Codes[i], want.Codes[i])
+				}
+			}
+		}
+	}
+}
+
+// TestQuantizeIntoReusesStorage: quantizing a large tensor and then a
+// smaller one through one QTensor reuses its buffers and matches a fresh
+// Quantize of the smaller tensor, with no codes left over from the first.
+func TestQuantizeIntoReusesStorage(t *testing.T) {
+	r := tensor.NewRNG(9)
+	big, small := tensor.New(2, 64), tensor.New(3, 5)
+	big.FillUniform(r, -8, 8)
+	small.FillUniform(r, -1, 1)
+	for _, p := range Precisions {
+		var q QTensor
+		QuantizeInto(&q, big, p)
+		backing := &q.Codes[0]
+		QuantizeInto(&q, small, p)
+		if &q.Codes[0] != backing {
+			t.Fatalf("%v: code buffer reallocated for a smaller tensor", p)
+		}
+		want := Quantize(small, p)
+		if !q.Shape.Equal(want.Shape) || q.Scale != want.Scale || len(q.Codes) != len(want.Codes) {
+			t.Fatalf("%v: header %v/%v/%d, want %v/%v/%d", p, q.Shape, q.Scale, len(q.Codes), want.Shape, want.Scale, len(want.Codes))
+		}
+		for i := range want.Codes {
+			if q.Codes[i] != want.Codes[i] {
+				t.Fatalf("%v code %d: %#x, want %#x", p, i, q.Codes[i], want.Codes[i])
+			}
+		}
+	}
+}

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -70,6 +72,40 @@ func TestEncodeDecodeActivation(t *testing.T) {
 	cut := trunc.Bytes()[:trunc.Len()-3]
 	if _, _, err := DecodeActivation(bytes.NewReader(cut), 5); err == nil {
 		t.Fatal("truncated frame accepted")
+	}
+}
+
+// TestDecodeActivationRejectsHugeDims: with no caller limit (maxElems 0)
+// a frame whose dims multiply past math.MaxInt/4 — or past the int range
+// itself — is rejected before anything is allocated for its payload.
+func TestDecodeActivationRejectsHugeDims(t *testing.T) {
+	frame := func(dims ...uint32) []byte {
+		b := append([]byte(actMagic), make([]byte, 12+4*len(dims))...)
+		binary.LittleEndian.PutUint64(b[len(actMagic):], 7)
+		binary.LittleEndian.PutUint32(b[len(actMagic)+8:], uint32(len(dims)))
+		for i, d := range dims {
+			binary.LittleEndian.PutUint32(b[len(actMagic)+12+4*i:], d)
+		}
+		return b
+	}
+	for _, dims := range [][]uint32{
+		{1 << 31, 1 << 30},               // 2^61: one past MaxInt/4, no overflow
+		{1 << 31, 1 << 31},               // 2^62: 4·n wraps to 0
+		{math.MaxUint32, math.MaxUint32}, // overflows int64 outright
+		{1 << 16, 1 << 16, 1 << 16, 1 << 16},
+	} {
+		if _, _, err := DecodeActivation(bytes.NewReader(frame(dims...)), 0); err == nil {
+			t.Fatalf("dims %v accepted", dims)
+		}
+	}
+	// A frame within the bound still decodes without a caller limit.
+	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
+	var buf bytes.Buffer
+	if err := EncodeActivation(&buf, x, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := DecodeActivation(&buf, 0); err != nil || !got.Shape().Equal(x.Shape()) {
+		t.Fatalf("decode without limit: %v, %v", got, err)
 	}
 }
 

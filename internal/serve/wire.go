@@ -50,7 +50,9 @@ func EncodeActivation(w io.Writer, x *tensor.Tensor, seed uint64) error {
 // DecodeActivation reads one activation frame, returning the tensor and
 // the request seed it carries. maxElems bounds the element count a frame
 // may declare (a server passes its stage's input size), so a hostile or
-// corrupt length field fails instead of allocating unbounded memory.
+// corrupt length field fails instead of allocating unbounded memory. With
+// maxElems ≤ 0 the count is bounded only by math.MaxInt/4, the largest
+// whose payload length fits an int.
 func DecodeActivation(r io.Reader, maxElems int) (*tensor.Tensor, uint64, error) {
 	head := make([]byte, len(actMagic)+8+4)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -68,18 +70,25 @@ func DecodeActivation(r io.Reader, maxElems int) (*tensor.Tensor, uint64, error)
 	if _, err := io.ReadFull(r, dimBytes); err != nil {
 		return nil, 0, fmt.Errorf("serve: short activation dims: %w", err)
 	}
+	// Without a caller limit the element count is still bounded by what
+	// the 4-byte-per-element payload length can express as an int. Each
+	// step is checked before multiplying, so the count never overflows.
+	limit := math.MaxInt / 4
+	if maxElems > 0 && maxElems < limit {
+		limit = maxElems
+	}
 	dims := make([]int, rank)
 	n := 1
 	for i := range dims {
 		d := int(binary.LittleEndian.Uint32(dimBytes[4*i:]))
-		if d <= 0 || (maxElems > 0 && d > maxElems) {
+		if d <= 0 || d > limit {
 			return nil, 0, fmt.Errorf("serve: activation dim %d out of range", d)
 		}
 		dims[i] = d
-		n *= d
-		if maxElems > 0 && n > maxElems {
-			return nil, 0, fmt.Errorf("serve: activation of %d elements exceeds limit %d", n, maxElems)
+		if n > limit/d {
+			return nil, 0, fmt.Errorf("serve: activation dims %v exceed the limit of %d elements", dims[:i+1], limit)
 		}
+		n *= d
 	}
 	payload := make([]byte, 4*n)
 	if _, err := io.ReadFull(r, payload); err != nil {

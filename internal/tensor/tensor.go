@@ -169,14 +169,17 @@ func (t *Tensor) Scale(alpha float32) {
 
 // MaxAbs returns the largest absolute element value, or 0 for an empty tensor.
 func (t *Tensor) MaxAbs() float32 {
-	var m float32
+	// Magnitudes compare as IEEE-754 bit patterns with the sign cleared:
+	// for non-NaN values that order is the float order, and the patterns
+	// above +Inf's are the NaNs, which are skipped.
+	var m uint32
 	for _, v := range t.Data {
-		a := float32(math.Abs(float64(v)))
-		if a > m {
+		a := math.Float32bits(v) &^ (1 << 31)
+		if a > m && a <= 0x7f800000 {
 			m = a
 		}
 	}
-	return m
+	return math.Float32frombits(m)
 }
 
 // L2 returns the Euclidean norm of the tensor contents.

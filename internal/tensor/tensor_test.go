@@ -329,3 +329,40 @@ func TestSoftmaxProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMaxAbsEdgeValues pins MaxAbs to the float definition — the largest
+// |x| over the non-NaN elements, 0 when there is none — on signed zeros,
+// subnormals, infinities, NaNs and random bit patterns.
+func TestMaxAbsEdgeValues(t *testing.T) {
+	ref := func(data []float32) float32 {
+		var m float32
+		for _, v := range data {
+			if a := float32(math.Abs(float64(v))); a > m {
+				m = a
+			}
+		}
+		return m
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	cases := [][]float32{
+		{},
+		{float32(math.Copysign(0, -1))},
+		{nan},
+		{nan, -2, 1},
+		{math.Float32frombits(1), -math.Float32frombits(3)},
+		{1, -inf, nan},
+		{-math.MaxFloat32, 3},
+	}
+	r := NewRNG(0xAB5)
+	raw := make([]float32, 1024)
+	for i := range raw {
+		raw[i] = math.Float32frombits(uint32(r.Uint64()))
+	}
+	cases = append(cases, raw)
+	for i, data := range cases {
+		got, want := FromSlice(data, len(data)).MaxAbs(), ref(data)
+		if math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("case %d: MaxAbs = %v, want %v", i, got, want)
+		}
+	}
+}
